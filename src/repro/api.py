@@ -12,7 +12,7 @@ re-exported or defined here is covered by the compatibility promise in
     table = api.sweep(["doduc", "xlisp"], policies=["mc=1", "no restrict"])
     report = api.run_experiment("fig5", scale=0.1)
 
-Three groups of names:
+Four groups of names:
 
 * **simulation** -- :func:`simulate` (memoized, accepts benchmark
   names or :class:`~repro.workloads.workload.Workload` objects and
@@ -25,12 +25,8 @@ Three groups of names:
   :class:`ExperimentOptions`, :class:`ExperimentResult`;
 * **dispatch lifecycle** -- :func:`backend_names`,
   :func:`shutdown_pool`, and :func:`pool_stats` for the dispatch
-  backends (inline / pool / socket; see ``docs/distributed.md`` and
-  the "Trace plane and pool lifecycle" section of
+  backends (inline / pool; see the "Pool lifecycle" section of
   ``docs/performance.md``);
-* **sweep service** -- :func:`submit_sweep` and :func:`sweep_service`
-  for asynchronous submission with progress streaming and request
-  coalescing (``docs/distributed.md``);
 * **telemetry** -- :func:`telemetry_enabled`, :func:`metrics_snapshot`,
   :func:`telemetry_summary`, :func:`flush_telemetry`, and the
   :func:`span` context manager (see ``docs/observability.md``).
@@ -79,9 +75,6 @@ __all__ = [
     # dispatch lifecycle
     "shutdown_pool",
     "pool_stats",
-    # sweep service
-    "submit_sweep",
-    "sweep_service",
     # telemetry
     "span",
     "telemetry_enabled",
@@ -130,11 +123,10 @@ def engine_names() -> Sequence[str]:
 def backend_names() -> Sequence[str]:
     """Valid ``backend=`` / ``REPRO_BACKEND`` values, ``auto`` included.
 
-    Dispatch backends (inline / pool / socket) pick *where* sweep
-    cells execute, exactly as engine tiers pick *how*; every backend
-    is bit-identical.  ``python -m repro backends`` prints the
-    registry with each backend's capabilities and the current
-    resolution; ``docs/distributed.md`` covers the socket fabric.
+    Dispatch backends (inline / pool) pick *where* sweep cells
+    execute, exactly as engine tiers pick *how*; every backend is
+    bit-identical.  ``python -m repro backends`` prints the registry
+    with the current resolution.
     """
     from repro.sim.parallel import backend_names as _names
 
@@ -280,9 +272,9 @@ def shutdown_pool() -> bool:
     one lazily created, process-wide pool so worker compile/trace
     caches stay warm across consecutive sweeps) and any other
     registered backend holding state.  The pool also retires itself
-    after ``REPRO_POOL_IDLE`` seconds of disuse (default 120) and at
-    interpreter exit; long-lived services should call this when a
-    burst of sweeps finishes instead of keeping idle workers around.
+    after two minutes of disuse and at interpreter exit; long-lived
+    processes should call this when a burst of sweeps finishes
+    instead of keeping idle workers around.
     A later sweep transparently reacquires whatever it needs.
     """
     from repro.sim.parallel import shutdown_pool as _shutdown
@@ -296,8 +288,8 @@ def pool_stats(backend: Optional[str] = None) -> Dict:
     ``"backend"`` is the resolved selection (``backend`` argument,
     else ``REPRO_BACKEND``, else ``auto``) and ``"backends"`` maps
     every registered backend to its own stats -- so the answer is
-    honest even when the inline or socket backend, not the process
-    pool, is doing the work.  The historical process-pool keys
+    honest even when the inline backend, not the process pool, is
+    doing the work.  The historical process-pool keys
     (``active``, ``workers``, ``created``, ``reused``,
     ``shutdowns``) remain at top level and always describe the
     process pool.
@@ -330,36 +322,3 @@ def telemetry_summary() -> str:
 def flush_telemetry() -> bool:
     """Persist this process's metrics into the telemetry state file."""
     return _telemetry.flush()
-
-
-# -- sweep service -------------------------------------------------------------
-
-
-def sweep_service(**kwargs):
-    """The running event loop's :class:`repro.serve.SweepService`.
-
-    Must be called inside a running loop.  Keyword arguments
-    (``workers``, ``backend``, ``store``, ``batch_size``) configure
-    the service only when this loop creates it; afterwards the
-    existing instance -- and its coalescing state -- is returned
-    as-is.
-    """
-    from repro.serve import get_service
-
-    return get_service(**kwargs)
-
-
-async def submit_sweep(cells, *, workers: Optional[int] = 1,
-                       backend: Optional[str] = None):
-    """Submit a cell list to the loop's sweep service (non-blocking).
-
-    ``cells`` are ``(workload, config, load_latency, scale)`` tuples.
-    Returns a :class:`repro.serve.SweepJob`: iterate
-    ``job.progress()`` for streamed events, ``await job.wait()`` for
-    ordered results.  Identical in-flight cell *sets* coalesce into a
-    single execution, and every batch lands in the memoized result
-    store, so a re-submitted sweep is a pure cache read.
-    """
-    from repro.serve import submit_sweep as _submit
-
-    return await _submit(cells, workers=workers, backend=backend)

@@ -51,22 +51,12 @@ Three subcommands cover the interactive workflows:
         python -m repro sweep --fidelity auto
 
 ``backends``
-    Print the dispatch-backend registry (inline / pool / socket) and
-    what the current environment resolves to; see
-    ``docs/distributed.md``.  ``sweep`` takes ``--backend`` to pin
-    one for the run::
+    Print the dispatch-backend registry (inline / pool) and what the
+    current environment resolves to; see ``docs/api.md``.  ``sweep``
+    takes ``--backend`` to pin one for the run::
 
         python -m repro backends
         python -m repro sweep --backend pool --workers 4
-
-``worker`` / ``serve``
-    The distributed sweep fabric: ``worker`` runs a socket worker a
-    coordinator can ship shards to, ``serve`` runs the asyncio sweep
-    service front end (progress streaming, request coalescing)::
-
-        python -m repro worker --port 7071
-        REPRO_FABRIC_WORKERS=127.0.0.1:7071 python -m repro sweep --backend socket
-        python -m repro serve --port 7080
 
 ``telemetry``
     Inspect the sweep engine's metrics and span traces (see
@@ -352,10 +342,6 @@ def cmd_engines(_args: argparse.Namespace) -> int:
     env = os.environ.get("REPRO_ENGINE")
     if env is not None:
         source = f"REPRO_ENGINE={env}"
-    elif os.environ.get("REPRO_FASTPATH", "1") == "0":
-        source = "legacy REPRO_FASTPATH=0 (deprecated; use REPRO_ENGINE)"
-    elif os.environ.get("REPRO_FUSION", "1") == "0":
-        source = "legacy REPRO_FUSION=0 (deprecated; use REPRO_ENGINE)"
     else:
         source = "default (auto = fastest applicable per cell)"
     print(f"\nresolved: {current.name}  [{source}]")
@@ -431,54 +417,22 @@ def cmd_screen(args: argparse.Namespace) -> int:
 def cmd_backends(_args: argparse.Namespace) -> int:
     from repro.sim import parallel
 
-    # Importing the fabric registers the socket backend.
-    from repro.sim import fabric  # noqa: F401
-
     current = parallel.resolve_backend()
     rows = []
     for name in parallel.BACKEND_ORDER:
         backend = parallel.get_backend(name)
         rows.append([name, "<-" if backend is current else "",
-                     backend.capabilities.describe(), backend.description])
+                     backend.description])
     print("dispatch backends (every backend is bit-identical)\n")
-    print(format_table(["backend", "now", "capabilities", "description"],
-                       rows))
+    print(format_table(["backend", "now", "description"], rows))
     env = os.environ.get("REPRO_BACKEND")
     if env is not None:
         source = f"REPRO_BACKEND={env}"
     else:
         source = "default (auto = inline when serial, else pool)"
     print(f"\nresolved: {current.name}  [{source}]")
-    fabric_env = os.environ.get("REPRO_FABRIC_WORKERS")
-    if fabric_env:
-        print(f"fabric workers: {fabric_env}")
-    else:
-        print("fabric workers: none (socket backend needs "
-              "REPRO_FABRIC_WORKERS=host:port[,host:port...])")
     print("selection: backend argument > REPRO_BACKEND > auto; "
-          "see docs/distributed.md")
-    return 0
-
-
-def cmd_worker(args: argparse.Namespace) -> int:
-    from repro.sim.fabric import run_worker
-
-    run_worker(host=args.host, port=args.port)
-    return 0
-
-
-def cmd_serve(args: argparse.Namespace) -> int:
-    import asyncio
-
-    from repro.serve import serve_forever
-
-    try:
-        asyncio.run(serve_forever(
-            host=args.host, port=args.port,
-            workers=args.workers, backend=args.backend,
-        ))
-    except KeyboardInterrupt:
-        pass
+          "see docs/api.md")
     return 0
 
 
@@ -617,7 +571,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="process pool size (default: REPRO_WORKERS "
                             "if set, else half the CPUs)")
     sweep.add_argument("--backend", default=None,
-                       help="dispatch backend: inline, pool, socket, or "
+                       help="dispatch backend: inline, pool, or "
                             "auto (default: REPRO_BACKEND or auto)")
     _add_machine_args(sweep)
     _add_engine_arg(sweep)
@@ -650,28 +604,6 @@ def build_parser() -> argparse.ArgumentParser:
         "backends",
         help="list the dispatch backends and the current resolution")
     backends.set_defaults(func=cmd_backends)
-
-    worker = sub.add_parser(
-        "worker", help="run a sweep fabric socket worker")
-    worker.add_argument("--host", default="127.0.0.1",
-                        help="interface to bind (default 127.0.0.1)")
-    worker.add_argument("--port", type=int, default=0,
-                        help="port to bind (default 0 = kernel-assigned; "
-                             "the chosen port is printed on stdout)")
-    worker.set_defaults(func=cmd_worker)
-
-    serve = sub.add_parser(
-        "serve", help="run the asyncio sweep service (JSON lines over TCP)")
-    serve.add_argument("--host", default="127.0.0.1",
-                       help="interface to bind (default 127.0.0.1)")
-    serve.add_argument("--port", type=int, default=0,
-                       help="port to bind (default 0 = kernel-assigned)")
-    serve.add_argument("--workers", type=int, default=1,
-                       help="pool size for executed sweeps (default 1)")
-    serve.add_argument("--backend", default=None,
-                       help="dispatch backend for executed sweeps "
-                            "(default: REPRO_BACKEND or auto)")
-    serve.set_defaults(func=cmd_serve)
 
     cache = sub.add_parser(
         "cache", help="manage the on-disk simulation result store"

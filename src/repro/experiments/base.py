@@ -101,7 +101,7 @@ class ExperimentOptions:
     #: Process-pool size for the sweeps behind the figure (1 = serial).
     #: Pools are persistent and process-wide: consecutive experiments
     #: at the same size reuse one warm pool (see ``docs/performance.md``,
-    #: "Trace plane and pool lifecycle"); ``repro.api.shutdown_pool()``
+    #: "Pool lifecycle"); ``repro.api.shutdown_pool()``
     #: retires it explicitly.
     workers: Optional[int] = 1
     #: Benchmark override for single-benchmark figures.

@@ -2,13 +2,9 @@
 
 Programmatic use should go through the stable facade
 :mod:`repro.api`; the names here are internal plumbing that may move
-between releases.  A few package-level aliases are deprecated and kept
-only for compatibility -- importing them emits ``DeprecationWarning``
-pointing at their ``repro.api`` replacement (the export smoke test in
+between releases (the export smoke test in
 ``tests/sim/test_exports.py`` pins `__all__` to reality).
 """
-
-import warnings
 
 from repro.sim.config import MachineConfig, baseline_config
 from repro.sim.confidence import ReplicationSummary, replicate
@@ -61,8 +57,6 @@ __all__ = [
     "expand",
     "ReplicationSummary",
     "replicate",
-    "run_cells",
-    "run_table_parallel",
     "PlanReport",
     "cached_simulate",
     "execute_cells",
@@ -75,31 +69,3 @@ __all__ = [
     "record_accesses",
     "format_access_log",
 ]
-
-#: Package-level aliases kept for compatibility: name -> (module
-#: attribute path, replacement to mention in the warning).
-_DEPRECATED_ALIASES = {
-    "run_cells": ("repro.sim.parallel", "run_cells",
-                  "repro.api.sweep (or repro.sim.parallel.run_cells)"),
-    "run_table_parallel": ("repro.sim.parallel", "run_table_parallel",
-                           "repro.api.sweep(workers=...)"),
-}
-
-
-def __getattr__(name):
-    alias = _DEPRECATED_ALIASES.get(name)
-    if alias is None:
-        raise AttributeError(f"module 'repro.sim' has no attribute {name!r}")
-    module_name, attribute, replacement = alias
-    warnings.warn(
-        f"repro.sim.{name} is deprecated; use {replacement} instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    import importlib
-
-    return getattr(importlib.import_module(module_name), attribute)
-
-
-def __dir__():
-    return sorted(set(globals()) | set(_DEPRECATED_ALIASES))

@@ -1,4 +1,4 @@
-"""Sweep dispatch: the transport-neutral backend API and its backends.
+"""Sweep dispatch: one in-host seam and its backends.
 
 The paper burned 370 CPU-days on its 3700 simulations; this
 reproduction's sweeps are lighter but still embarrassingly parallel:
@@ -13,46 +13,27 @@ resolves a :class:`DispatchBackend` through one path (argument >
     Serial in-process execution -- no pool, no serialization; what
     ``workers=1`` has always meant.
 ``pool``
-    The cache-affine process pool described below: grouped dispatch,
-    shared-memory trace plane, persistent workers.
-``socket``
-    The distributed fabric (:mod:`repro.sim.fabric`): shards shipped
-    to ``python -m repro worker`` processes over TCP, with per-shard
-    retry/reassignment.  Needs ``REPRO_FABRIC_WORKERS``.
+    The cache-affine process pool described below: grouped dispatch
+    on persistent workers.
 ``auto``
-    ``inline`` for serial/single-cell calls, ``pool`` otherwise --
-    the historical behaviour of ``run_cells``.
+    ``inline`` for serial/single-cell calls, ``pool`` otherwise.
 
-The legacy entry points ``run_cells`` / ``run_cells_ungrouped`` /
-``run_table_parallel`` survive as thin deprecated aliases (one
-:class:`DeprecationWarning` per process, mirroring the PR 6
-``REPRO_FASTPATH``/``REPRO_FUSION`` pattern).
-
-The rest of this docstring describes the ``pool`` backend, which
-remains the single-host workhorse: it fans a sweep's cells across a
-process pool and reassembles the same structures the serial harness
-produces.
+The ``pool`` backend fans a sweep's cells across a process pool and
+reassembles the same structures the serial harness produces.
 
 Cells are dispatched *cache-affinely*: cells sharing a
-(workload, load latency, scale) triple need the same compiled schedule
-and expanded trace, so they are grouped and shipped to the pool as
-units.  On top of the grouping, two mechanisms remove the remaining
-redundant data movement:
+(workload, load latency, scale) triple need the same compiled schedule,
+expanded trace and event streams, so they are grouped and shipped to
+the pool as units; each worker expands its group's trace and streams
+once and every member hits those local caches.
 
-* **the trace plane** (:mod:`repro.sim.traceplane`): the parent
-  expands each group's trace once and publishes the address buffers
-  into shared memory; workers attach zero-copy instead of re-running
-  ``expand()``.  ``REPRO_SHM=0`` (or any publish failure) falls back
-  to worker-local expansion, bit-identically.
-* **the persistent pool**: one lazily created, process-wide
-  ``ProcessPoolExecutor`` is reused across every ``run_cells`` call --
-  all sweeps and all experiment drivers -- so worker compile/trace
-  caches stay warm between dispatches.  The pool is capped at the
-  number of dispatchable groups, shuts itself down after
-  ``REPRO_POOL_IDLE`` seconds of disuse, is never reused across a
-  fork, and can be retired explicitly via
-  :func:`repro.api.shutdown_pool`.  ``REPRO_POOL_PERSIST=0`` restores
-  a fresh pool per call.
+The pool is *persistent*: one lazily created, process-wide
+``ProcessPoolExecutor`` is reused across every dispatch -- all sweeps
+and all experiment drivers -- so worker compile/trace caches stay warm
+between dispatches.  The pool is capped at the number of dispatchable
+groups, shuts itself down after :data:`POOL_IDLE_SECONDS` of disuse,
+is never reused across a fork, and can be retired explicitly via
+:func:`repro.api.shutdown_pool`.
 
 Every piece of a cell description (workloads, policies, configs) is a
 plain picklable dataclass, and each worker process builds its own
@@ -69,26 +50,17 @@ import atexit
 import os
 import threading
 import time
-import warnings
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from typing import TYPE_CHECKING
-
 from repro import telemetry
-from repro.core.policies import MSHRPolicy
 from repro.errors import CellExecutionError, ConfigurationError
 from repro.sim import engines
 from repro.sim.config import MachineConfig
 from repro.sim.resultstore import workload_key
 from repro.sim.stats import SimulationResult
-from repro.sim import traceplane
 from repro.workloads.workload import Workload
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.sim.sweep import TableSweep
 
 #: One sweep cell: everything a worker needs.
 Cell = Tuple[Workload, MachineConfig, int, float]
@@ -115,20 +87,13 @@ def _run_cell(cell: Cell) -> SimulationResult:
     return simulate(workload, config, load_latency=load_latency, scale=scale)
 
 
-def _run_group(group: _Group, handle=None, stream_handles=None):
+def _run_group(group: _Group):
     """Worker entry point: simulate one cache-affine group of cells.
 
-    With a :class:`~repro.sim.traceplane.TraceHandle` the worker first
-    seeds its trace cache from the shared-memory segment (skipped when
-    a previous dispatch on this persistent worker already cached the
-    trace); otherwise the first ``simulate`` call compiles and expands
-    locally.  ``stream_handles`` carries the group's published
-    event-stream segments (one per line size the group's fused cells
-    replay over): the worker seeds its stream cache with zero-copy
-    views the same way, so policy siblings replay without re-deriving
-    line addresses.  Either way the remaining cells hit the
-    worker-local caches because workload, latency, and scale are
-    constant within a group.
+    The first ``simulate`` call compiles and expands the group's trace
+    (or finds it cached from a previous dispatch on this persistent
+    worker); the remaining cells hit the worker-local caches because
+    workload, latency, and scale are constant within a group.
 
     Returns ``(pairs, telemetry_delta, started_at)``: the indexed
     results, the worker's metric activity for exactly this group (a
@@ -136,7 +101,6 @@ def _run_group(group: _Group, handle=None, stream_handles=None):
     equal the sum of serial runs), and the wall-clock instant the group
     started executing (the parent derives queue wait from it).
     """
-    from repro.sim import simulator
     from repro.sim.simulator import simulate
 
     workload, load_latency, scale, members = group
@@ -144,27 +108,6 @@ def _run_group(group: _Group, handle=None, stream_handles=None):
     before = telemetry.snapshot() if telemetry_on else None
     started_at = time.time()
     busy_start = time.perf_counter()
-    trace = None
-    if handle is not None and not simulator.trace_cached(
-            workload, load_latency, scale):
-        trace = traceplane.attach_trace(workload, handle)
-        if trace is not None:
-            simulator.install_trace(workload, load_latency, trace,
-                                    scale=scale)
-    if stream_handles:
-        from repro.sim import stream as stream_mod
-
-        for stream_handle in stream_handles:
-            if stream_mod.stream_cached(workload, load_latency, scale,
-                                        stream_handle.line_size):
-                continue
-            if trace is None:
-                _, trace = simulator.expand_workload(
-                    workload, load_latency, scale=scale)
-            stream = traceplane.attach_stream(trace, stream_handle)
-            if stream is not None:
-                stream_mod.install_stream(workload, load_latency, stream,
-                                          scale=scale)
     pairs = []
     for index, config in members:
         try:
@@ -215,32 +158,8 @@ def default_workers() -> int:
 # -- the persistent pool -------------------------------------------------------
 
 
-def persistent_pool_enabled() -> bool:
-    """Whether ``run_cells`` reuses one process-wide pool.
-
-    ``REPRO_POOL_PERSIST=0`` restores the old fresh-pool-per-call
-    behaviour (each dispatch pays process start-up and cold worker
-    caches); anything else keeps the pool warm between sweeps.
-    """
-    return os.environ.get("REPRO_POOL_PERSIST", "1") != "0"
-
-
-def pool_idle_seconds() -> float:
-    """How long the persistent pool may sit unused before self-retiring."""
-    override = os.environ.get("REPRO_POOL_IDLE")
-    if override is None:
-        return 120.0
-    try:
-        idle = float(override)
-    except ValueError:
-        raise ConfigurationError(
-            f"REPRO_POOL_IDLE must be a number of seconds: {override!r}"
-        ) from None
-    if idle <= 0:
-        raise ConfigurationError(
-            f"REPRO_POOL_IDLE must be positive: {idle}"
-        )
-    return idle
+#: How long the persistent pool may sit unused before self-retiring.
+POOL_IDLE_SECONDS = 120.0
 
 
 class _PoolState:
@@ -262,17 +181,15 @@ class _PoolState:
 _STATE = _PoolState()
 
 
-def _lease_pool(workers: int, reuse: bool) -> Tuple[ProcessPoolExecutor, bool]:
+def _lease_pool(workers: int) -> Tuple[ProcessPoolExecutor, bool]:
     """A pool with at least ``workers`` workers; ``(pool, caller_owns)``.
 
-    With ``reuse`` the process-wide pool is handed out (created or
-    resized if the live one is too small, discarded if it belongs to a
-    pre-fork parent); the caller must pass it to :func:`_return_pool`.
-    Without ``reuse`` a fresh private pool is returned and the caller
-    shuts it down.
+    The process-wide pool is handed out (created or resized if the
+    live one is too small, discarded if it belongs to a pre-fork
+    parent) unless another dispatch holds it and it is too small, in
+    which case the caller gets a private pool.  Either way the caller
+    must pass it to :func:`_return_pool`.
     """
-    if not reuse:
-        return ProcessPoolExecutor(max_workers=workers), True
     state = _STATE
     with state.lock:
         if state.pid is not None and state.pid != os.getpid():
@@ -337,8 +254,7 @@ def _return_pool(pool: ProcessPoolExecutor, owned: bool,
 
 
 def _arm_idle_timer_locked(state: _PoolState) -> None:
-    idle = pool_idle_seconds()
-    timer = threading.Timer(idle, _idle_shutdown)
+    timer = threading.Timer(POOL_IDLE_SECONDS, _idle_shutdown)
     timer.daemon = True
     state.idle_timer = timer
     timer.start()
@@ -350,7 +266,7 @@ def _idle_shutdown() -> None:
         if (state.pool is None or state.leases > 0
                 or state.pid != os.getpid()):
             return
-        if time.monotonic() - state.last_used < pool_idle_seconds() * 0.5:
+        if time.monotonic() - state.last_used < POOL_IDLE_SECONDS * 0.5:
             _arm_idle_timer_locked(state)
             return
         pool = state.pool
@@ -497,29 +413,18 @@ def _prebuild_kernels(cells: Sequence[Cell]) -> None:
 
 
 def _pool_submit(
-    cells: Sequence[Cell],
-    workers: Optional[int] = None,
-    reuse_pool: Optional[bool] = None,
-    trace_plane: Optional[bool] = None,
+    cells: Sequence[Cell], workers: Optional[int] = None
 ) -> List[SimulationResult]:
     """Run arbitrary sweep cells across a process pool, in order.
 
     With ``workers=1`` (or a single cell) everything runs in-process,
     which keeps tests and small sweeps free of pool overhead.  The
     pool never exceeds the number of dispatchable groups.
-    ``reuse_pool`` / ``trace_plane`` override the environment defaults
-    (:func:`persistent_pool_enabled`,
-    :func:`repro.sim.traceplane.shm_enabled`); benchmarks use them to
-    pin each dispatch strategy explicitly.
     """
     if workers is None:
         workers = default_workers()
     if workers <= 1 or len(cells) <= 1:
         return [_run_cell(cell) for cell in cells]
-    if reuse_pool is None:
-        reuse_pool = persistent_pool_enabled()
-    if trace_plane is None:
-        trace_plane = traceplane.shm_enabled()
     # Cap group size so every worker gets a few tasks to balance, but
     # never below a handful of cells or the affinity win evaporates.
     max_group = max(4, -(-len(cells) // (workers * 4)))
@@ -531,42 +436,17 @@ def _pool_submit(
         return [_run_cell(cell) for cell in cells]
 
     _prebuild_kernels(cells)
-    plane = traceplane.plane() if trace_plane else None
-    handles: List[Optional[traceplane.TraceHandle]] = []
-    stream_sets: List[List[traceplane.StreamHandle]] = []
     results: List[Optional[SimulationResult]] = [None] * len(cells)
     telemetry_on = telemetry.enabled()
     busy_total = 0.0
     dispatch_start = time.perf_counter()
-    pool, owned = _lease_pool(workers, reuse_pool)
+    pool, owned = _lease_pool(workers)
     broken = False
     try:
-        if plane is not None:
-            from repro.sim.simulator import fusion_default
-
-            publish_streams = fusion_default()
-            for workload, load_latency, scale, members in groups:
-                handles.append(plane.acquire(workload, load_latency, scale))
-                streams: List[traceplane.StreamHandle] = []
-                if publish_streams:
-                    line_sizes = sorted({
-                        config.geometry.line_size
-                        for _index, config in members
-                        if not config.perfect_cache
-                    })
-                    for line_size in line_sizes:
-                        stream_handle = plane.acquire_stream(
-                            workload, load_latency, scale, line_size)
-                        if stream_handle is not None:
-                            streams.append(stream_handle)
-                stream_sets.append(streams)
-        else:
-            handles = [None] * len(groups)
-            stream_sets = [[] for _ in groups]
         submitted_at = {}
         futures = []
-        for group, handle, streams in zip(groups, handles, stream_sets):
-            future = pool.submit(_run_group, group, handle, streams or None)
+        for group in groups:
+            future = pool.submit(_run_group, group)
             submitted_at[future] = time.time()
             futures.append(future)
         try:
@@ -586,14 +466,6 @@ def _pool_submit(
                 future.cancel()
             raise
     finally:
-        if plane is not None:
-            for group, handle in zip(groups, handles):
-                if handle is not None:
-                    plane.release(group[0], group[1], group[2])
-            for group, streams in zip(groups, stream_sets):
-                for stream_handle in streams:
-                    plane.release_stream(group[0], group[1], group[2],
-                                         stream_handle.line_size)
         _return_pool(pool, owned, broken=broken)
     if telemetry_on:
         elapsed = time.perf_counter() - dispatch_start
@@ -625,40 +497,8 @@ def _ungrouped_submit(
 # -- the backend API -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BackendCapabilities:
-    """What a dispatch backend can exploit, for planners and humans.
-
-    The flags gate the *parent-side* optimizations: only a backend
-    that runs forked children on this host can attach them to the
-    shared-memory trace plane or reuse the persistent pool, and only
-    one that executes C-tier cells in processes inheriting this
-    parent's kernel cache benefits from pre-building kernels here.
-    """
-
-    #: Workers can attach the parent's shared-memory trace plane.
-    trace_plane: bool = False
-    #: Dispatches lease the persistent process-wide worker pool.
-    persistent_pool: bool = False
-    #: Pre-compiling C kernels in the parent warms the workers.
-    kernel_prebuild: bool = False
-    #: Cells leave this process (serialized over the wire format).
-    remote: bool = False
-
-    def describe(self) -> str:
-        flags = [
-            name for name, on in (
-                ("shm", self.trace_plane),
-                ("pool", self.persistent_pool),
-                ("prebuild", self.kernel_prebuild),
-                ("remote", self.remote),
-            ) if on
-        ]
-        return "+".join(flags) if flags else "-"
-
-
 class DispatchBackend:
-    """Protocol every dispatch transport implements.
+    """Protocol every dispatch backend implements.
 
     A backend turns a shard of cells into ordered results; everything
     else (dedup, memoization, reassembly) lives in the planner.  All
@@ -669,14 +509,9 @@ class DispatchBackend:
 
     name: str = "?"
     description: str = ""
-    capabilities: BackendCapabilities = BackendCapabilities()
 
     def submit(
-        self,
-        cells: Sequence[Cell],
-        workers: Optional[int] = None,
-        reuse_pool: Optional[bool] = None,
-        trace_plane: Optional[bool] = None,
+        self, cells: Sequence[Cell], workers: Optional[int] = None
     ) -> List[SimulationResult]:
         """Execute ``cells`` and return results in the caller's order."""
         raise NotImplementedError
@@ -694,14 +529,13 @@ class InlineBackend(DispatchBackend):
     """Serial in-process execution: no pool, no serialization."""
 
     name = "inline"
-    description = "serial in-process execution (no pool, no wire)"
-    capabilities = BackendCapabilities()
+    description = "serial in-process execution (no pool)"
 
     def __init__(self) -> None:
         self._dispatches = 0
         self._cells = 0
 
-    def submit(self, cells, workers=None, reuse_pool=None, trace_plane=None):
+    def submit(self, cells, workers=None):
         self._dispatches += 1
         self._cells += len(cells)
         return [_run_cell(cell) for cell in cells]
@@ -714,21 +548,16 @@ class PoolBackend(DispatchBackend):
     """The cache-affine grouped process pool (module docstring)."""
 
     name = "pool"
-    description = ("cache-affine grouped process pool "
-                   "(trace plane + persistent workers)")
-    capabilities = BackendCapabilities(
-        trace_plane=True, persistent_pool=True, kernel_prebuild=True,
-    )
+    description = "cache-affine grouped process pool (persistent workers)"
 
     def __init__(self) -> None:
         self._dispatches = 0
         self._cells = 0
 
-    def submit(self, cells, workers=None, reuse_pool=None, trace_plane=None):
+    def submit(self, cells, workers=None):
         self._dispatches += 1
         self._cells += len(cells)
-        return _pool_submit(cells, workers=workers, reuse_pool=reuse_pool,
-                            trace_plane=trace_plane)
+        return _pool_submit(cells, workers=workers)
 
     def stats(self) -> Dict[str, object]:
         stats: Dict[str, object] = {
@@ -744,14 +573,12 @@ class PoolBackend(DispatchBackend):
 class AutoBackend(DispatchBackend):
     """``inline`` for serial or single-cell calls, ``pool`` otherwise.
 
-    This is the historical ``run_cells`` behaviour promoted to an
-    explicit backend, and the default resolution when neither an
-    argument nor ``REPRO_BACKEND`` pins one.
+    The default resolution when neither an argument nor
+    ``REPRO_BACKEND`` pins one.
     """
 
     name = "auto"
     description = "inline when workers<=1 or one cell, else pool"
-    capabilities = PoolBackend.capabilities
 
     def _delegate(self, cells, workers) -> DispatchBackend:
         if workers is None:
@@ -760,31 +587,21 @@ class AutoBackend(DispatchBackend):
             return get_backend("inline")
         return get_backend("pool")
 
-    def submit(self, cells, workers=None, reuse_pool=None, trace_plane=None):
-        return self._delegate(cells, workers).submit(
-            cells, workers=workers, reuse_pool=reuse_pool,
-            trace_plane=trace_plane)
+    def submit(self, cells, workers=None):
+        return self._delegate(cells, workers).submit(cells, workers=workers)
 
     def stats(self) -> Dict[str, object]:
         return {"delegates": ("inline", "pool")}
 
 
 #: Registry order, as listed by ``python -m repro backends``.
-BACKEND_ORDER: Tuple[str, ...] = ("inline", "pool", "socket")
+BACKEND_ORDER: Tuple[str, ...] = ("inline", "pool")
 
 AUTO_BACKEND = "auto"
 
-_BACKENDS: Dict[str, DispatchBackend] = {}
-
-
-def register_backend(backend: DispatchBackend) -> DispatchBackend:
-    """Install (or replace) a backend instance under its name."""
-    _BACKENDS[backend.name] = backend
-    return backend
-
-
-register_backend(InlineBackend())
-register_backend(PoolBackend())
+_BACKENDS: Dict[str, DispatchBackend] = {
+    backend.name: backend for backend in (InlineBackend(), PoolBackend())
+}
 _AUTO = AutoBackend()
 
 
@@ -798,11 +615,6 @@ def get_backend(name: str) -> DispatchBackend:
     label = name.strip().lower()
     if label == AUTO_BACKEND:
         return _AUTO
-    if label not in _BACKENDS and label == "socket":
-        # The socket backend lives with the fabric; importing the
-        # module registers it.  Lazy so `import repro.sim.parallel`
-        # never drags the network stack in.
-        import repro.sim.fabric  # noqa: F401
     backend = _BACKENDS.get(label)
     if backend is None:
         raise ConfigurationError(
@@ -827,18 +639,13 @@ def dispatch(
     *,
     backend: Optional[str] = None,
     workers: Optional[int] = None,
-    reuse_pool: Optional[bool] = None,
-    trace_plane: Optional[bool] = None,
 ) -> List[SimulationResult]:
     """Execute sweep cells through the resolved dispatch backend.
 
-    The one entry point every sweep path funnels through (replacing
-    ``run_cells`` / ``run_cells_ungrouped`` / ``run_table_parallel``).
-    ``backend`` names a transport from :func:`backend_names`;
-    ``None`` resolves via ``REPRO_BACKEND`` and defaults to ``auto``.
-    Results are bit-identical across backends -- only topology and
-    speed change.  ``reuse_pool`` / ``trace_plane`` are pool-backend
-    knobs and are ignored by backends without those capabilities.
+    The one entry point every sweep path funnels through.  ``backend``
+    names a backend from :func:`backend_names`; ``None`` resolves via
+    ``REPRO_BACKEND`` and defaults to ``auto``.  Results are
+    bit-identical across backends -- only topology and speed change.
     """
     resolved = resolve_backend(backend)
     cells = list(cells)
@@ -847,8 +654,7 @@ def dispatch(
         m.counter("dispatch.calls").inc()
         m.counter("dispatch.cells").inc(len(cells))
         m.counter(f"dispatch.backend.{resolved.name}").inc()
-    return resolved.submit(cells, workers=workers, reuse_pool=reuse_pool,
-                           trace_plane=trace_plane)
+    return resolved.submit(cells, workers=workers)
 
 
 # -- per-backend lifecycle -----------------------------------------------------
@@ -857,11 +663,9 @@ def dispatch(
 def shutdown_pool() -> bool:
     """Release every backend's held resources; True if any were live.
 
-    Despite the historical name this now covers all registered
-    backends: the persistent process pool and, when the fabric has
-    been used, the socket backend's cached worker connections.  Safe
-    to call at any time -- a later sweep transparently reacquires
-    whatever it needs.
+    Today only the persistent process pool holds any.  Safe to call at
+    any time -- a later sweep transparently reacquires whatever it
+    needs.
     """
     any_live = False
     for backend in list(_BACKENDS.values()):
@@ -875,8 +679,8 @@ def pool_stats(backend: Optional[str] = None) -> Dict[str, object]:
     ``backend`` (a resolved name; the active selection when ``None``)
     picks what ``"backend"`` reports; ``"backends"`` always carries
     every registered backend's own stats, so callers see the truth
-    even when the inline or socket backend -- not the process pool --
-    is doing the work.  The historical process-pool keys (``active``,
+    even when the inline backend -- not the process pool -- is doing
+    the work.  The historical process-pool keys (``active``,
     ``workers``, ``created``, ``reused``, ``shutdowns``) stay at top
     level for compatibility and always describe the process pool.
     """
@@ -890,68 +694,3 @@ def pool_stats(backend: Optional[str] = None) -> Dict[str, object]:
     }
     stats.update(_process_pool_stats())
     return stats
-
-
-# -- deprecated aliases --------------------------------------------------------
-
-
-_DEPRECATION_WARNED = set()
-
-
-def _warn_deprecated(name: str, replacement: str) -> None:
-    if name in _DEPRECATION_WARNED:
-        return
-    _DEPRECATION_WARNED.add(name)
-    warnings.warn(
-        f"{name} is deprecated; use {replacement} instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
-def reset_deprecation_warnings() -> None:
-    """Re-arm the once-per-process alias warnings (tests)."""
-    _DEPRECATION_WARNED.clear()
-
-
-def run_cells(
-    cells: Sequence[Cell],
-    workers: Optional[int] = None,
-    reuse_pool: Optional[bool] = None,
-    trace_plane: Optional[bool] = None,
-) -> List[SimulationResult]:
-    """Deprecated alias for :func:`dispatch` on the pool/auto path."""
-    _warn_deprecated("run_cells", "repro.sim.parallel.dispatch(cells, ...)")
-    return _pool_submit(cells, workers=workers, reuse_pool=reuse_pool,
-                        trace_plane=trace_plane)
-
-
-def run_cells_ungrouped(
-    cells: Sequence[Cell], workers: Optional[int] = None
-) -> List[SimulationResult]:
-    """Deprecated alias kept for old benchmark scripts."""
-    _warn_deprecated(
-        "run_cells_ungrouped",
-        "repro.sim.parallel.dispatch (grouped dispatch is always better)",
-    )
-    return _ungrouped_submit(cells, workers=workers)
-
-
-def run_table_parallel(
-    workloads: Sequence[Workload],
-    policies: Sequence[MSHRPolicy],
-    load_latency: int = 10,
-    base: Optional[MachineConfig] = None,
-    scale: float = 1.0,
-    workers: Optional[int] = None,
-) -> "TableSweep":
-    """Deprecated alias for :func:`repro.sim.sweep.run_table`."""
-    from repro.sim.sweep import run_table
-
-    _warn_deprecated(
-        "run_table_parallel", "repro.api.sweep(workers=...) or run_table"
-    )
-    if workers is None:
-        workers = default_workers()
-    return run_table(workloads, policies, load_latency=load_latency,
-                     base=base, scale=scale, workers=workers)

@@ -15,13 +15,10 @@ This module is the single execution funnel for such lists:
    the content-addressed :class:`~repro.sim.resultstore.ResultStore`;
 4. **dispatch** only the misses through
    :func:`repro.sim.parallel.dispatch` -- the resolved backend
-   (inline, the cache-affine process pool, or the socket fabric)
-   executes them; the pool backend publishes each group's trace once
-   into the shared-memory trace plane (:mod:`repro.sim.traceplane`)
-   and reuses the process-wide persistent pool, so consecutive
-   planner runs keep worker caches warm -- persist their results
-   (whatever node ran them, the coordinator's store is backfilled
-   here), and
+   (inline or the cache-affine process pool) executes them; the pool
+   backend reuses the process-wide persistent pool, so consecutive
+   planner runs keep worker caches warm -- persist their results,
+   and
 5. **reassemble** the full result list in the caller's cell order.
 
 A re-run of an already-simulated sweep is therefore a pure cache read,

@@ -19,9 +19,7 @@ Engine selection goes through the registry in
 :mod:`repro.sim.engines`: five tiers (reference / fastpath / fused /
 native / cnative), selectable per call (``engine=``), per process
 (``REPRO_ENGINE``), or implicitly (``auto`` = fastest applicable per
-cell).  All tiers produce bit-identical results; the legacy
-``REPRO_FASTPATH`` / ``REPRO_FUSION`` variables still work through the
-same resolution path, with a deprecation warning.
+cell).  All tiers produce bit-identical results.
 """
 
 from __future__ import annotations
@@ -137,8 +135,7 @@ def fast_path_default() -> bool:
     """Whether the resolved engine uses the optimized interpreter.
 
     Resolution goes through :func:`repro.sim.engines.resolve_engine`
-    (``REPRO_ENGINE``, with the legacy ``REPRO_FASTPATH=0`` still
-    selecting the reference tier under a deprecation warning).
+    (``REPRO_ENGINE``).
     """
     return engines_mod.resolve_engine().fast_path
 
@@ -147,9 +144,7 @@ def fusion_default() -> bool:
     """Whether the resolved engine lets eligible cells run fused.
 
     Resolution goes through :func:`repro.sim.engines.resolve_engine`
-    (``REPRO_ENGINE``, with the legacy ``REPRO_FUSION=0`` still
-    selecting the fastpath tier under a deprecation warning).
-    Results are bit-identical either way.
+    (``REPRO_ENGINE``).  Results are bit-identical either way.
     """
     return engines_mod.resolve_engine().fusion
 
@@ -194,42 +189,6 @@ def _trace_key(
         workload.seed,
         scale,
     )
-
-
-def trace_cached(
-    workload: Workload,
-    load_latency: int,
-    scale: float = 1.0,
-    unroll_override: int = 0,
-) -> bool:
-    """Whether this process already holds the workload's expanded trace.
-
-    Pool workers consult this before attaching a shared-memory trace
-    segment (:mod:`repro.sim.traceplane`): a persistent worker's warm
-    cache makes the attach redundant.
-    """
-    key = _trace_key(workload, load_latency, scale, unroll_override)
-    return _TRACE_CACHE.get(key) is not None
-
-
-def install_trace(
-    workload: Workload,
-    load_latency: int,
-    trace: ExpandedTrace,
-    scale: float = 1.0,
-    unroll_override: int = 0,
-) -> None:
-    """Seed the trace cache with an externally built expansion.
-
-    The trace plane uses this to hand workers zero-copy traces built
-    over shared memory; the subsequent ``simulate`` call then hits the
-    cache exactly as if the worker had expanded locally.  The caller
-    guarantees the trace is bit-identical to what :func:`expand` would
-    produce for the same key -- the parallel-equivalence tests enforce
-    it end to end.
-    """
-    key = _trace_key(workload, load_latency, scale, unroll_override)
-    _TRACE_CACHE.put(key, trace)
 
 
 def expand_workload(

@@ -89,9 +89,7 @@ class EventStream:
     #: Readiness terms of the post-body stall sites (same shape as
     #: :attr:`SlotSpec.terms`).
     tail_terms: Tuple[Tuple[int, int], ...]
-    #: Parallel to ``slots``: per-execution *line* addresses
-    #: (``array('q')`` locally, ``memoryview('q')`` when attached from
-    #: the shared-memory plane).
+    #: Parallel to ``slots``: per-execution *line* addresses.
     lines: List[Sequence[int]]
     #: Compiled replay kernels, built lazily by
     #: :mod:`repro.cpu.replay` and cached here with the stream, keyed
@@ -247,17 +245,10 @@ def _line_array(buf: Sequence[int], offset_bits: int) -> array:
     return out
 
 
-def build_stream(
-    trace: ExpandedTrace,
-    line_size: int,
-    lines: Optional[List[Sequence[int]]] = None,
-) -> Optional[EventStream]:
+def build_stream(trace: ExpandedTrace, line_size: int) -> Optional[EventStream]:
     """Build the event stream for one expanded trace.
 
-    ``lines`` supplies pre-built line-address buffers (the
-    shared-memory plane hands workers zero-copy ``memoryview`` windows
-    here); when omitted they are computed from the trace's byte
-    addresses.  Returns ``None`` for a body with no memory ops.
+    Returns ``None`` for a body with no memory ops.
     """
     structure = _extract_structure(trace.program())
     if structure is None:
@@ -266,11 +257,9 @@ def build_stream(
      n_loads, n_stores) = structure
     body_indices = _mem_body_indices(trace)
     offset_bits = line_size.bit_length() - 1
-    if lines is None:
-        lines = [
-            _line_array(trace.addresses[j], offset_bits)
-            for j in body_indices
-        ]
+    lines = [
+        _line_array(trace.addresses[j], offset_bits) for j in body_indices
+    ]
     slots = tuple(
         SlotSpec(
             kind=mem_kinds[k],
@@ -478,42 +467,6 @@ def _stream_key(
 
     return (_trace_key(workload, load_latency, scale, unroll_override),
             line_size)
-
-
-def stream_cached(
-    workload: Workload,
-    load_latency: int,
-    scale: float = 1.0,
-    line_size: int = 32,
-    unroll_override: int = 0,
-) -> bool:
-    """Whether this process already holds the group's event stream.
-
-    Pool workers consult this before attaching a shared-memory stream
-    segment, exactly like :func:`repro.sim.simulator.trace_cached`.
-    """
-    key = _stream_key(workload, load_latency, scale, line_size,
-                      unroll_override)
-    return _STREAM_CACHE.get(key) is not None
-
-
-def install_stream(
-    workload: Workload,
-    load_latency: int,
-    stream: EventStream,
-    scale: float = 1.0,
-    unroll_override: int = 0,
-) -> None:
-    """Seed the stream cache with an externally assembled stream.
-
-    The trace plane uses this to hand workers zero-copy streams built
-    over shared memory; the caller guarantees the stream is
-    bit-identical to what :func:`build_stream` would produce for the
-    same key.
-    """
-    key = _stream_key(workload, load_latency, scale, stream.line_size,
-                      unroll_override)
-    _STREAM_CACHE.put(key, stream)
 
 
 def event_stream(

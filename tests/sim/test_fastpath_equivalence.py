@@ -146,7 +146,7 @@ class TestParallelGrouping:
     def test_grouped_pool_matches_serial(self):
         # The cache-affine grouped dispatch must reassemble results in
         # submission order and match in-process runs exactly.
-        from repro.sim.parallel import run_cells
+        from repro.sim.parallel import dispatch
 
         base = baseline_config()
         cells = []
@@ -154,6 +154,6 @@ class TestParallelGrouping:
             workload = get_benchmark(name)
             for policy in (blocking_cache(), mc(1), no_restrict()):
                 cells.append((workload, base.with_policy(policy), 10, 0.2))
-        serial = run_cells(cells, workers=1)
-        pooled = run_cells(cells, workers=2)
+        serial = dispatch(cells, workers=1)
+        pooled = dispatch(cells, workers=2)
         assert pooled == serial

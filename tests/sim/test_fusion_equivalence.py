@@ -72,14 +72,14 @@ class TestPolicySiblingEquivalence:
         assert fused == reference
 
     def test_env_opt_out(self, monkeypatch):
-        # REPRO_FUSION=0 turns the default off; results stay identical
+        # REPRO_ENGINE=fastpath turns fusion off; results stay identical
         # because fusion never changes numbers, only how they're made.
-        monkeypatch.setenv("REPRO_FUSION", "0")
+        monkeypatch.setenv("REPRO_ENGINE", "fastpath")
         assert not fusion_default()
         workload = get_benchmark("compress")
         config = baseline_config().with_policy(no_restrict())
         off = simulate(workload, config, load_latency=10, scale=0.1)
-        monkeypatch.setenv("REPRO_FUSION", "1")
+        monkeypatch.setenv("REPRO_ENGINE", "auto")
         assert fusion_default()
         on = simulate(workload, config, load_latency=10, scale=0.1)
         assert on == off

@@ -15,7 +15,7 @@ from repro.core.policies import (
     with_layout,
 )
 from repro.sim.config import baseline_config
-from repro.sim.parallel import run_cells
+from repro.sim.parallel import dispatch
 from repro.sim.planner import cached_simulate, execute_cells, run_plan
 from repro.sim.resultstore import ResultStore
 from repro.sim.simulator import simulate
@@ -160,7 +160,7 @@ class TestBitEquality:
 
         direct = [simulate(w, c, load_latency=lat, scale=s)
                   for w, c, lat, s in cells]
-        pooled = run_cells(cells, workers=2)
+        pooled = dispatch(cells, workers=2)
         cold = execute_cells(cells, store=store)
         warm = execute_cells(cells, store=store)
 

@@ -99,6 +99,19 @@ class TestCommands:
         assert out.count("\n") == 18
         assert "tomcatv" in out
 
+    def test_backends_listing(self, capsys):
+        assert main(["backends"]) == 0
+        out = capsys.readouterr().out
+        assert "inline" in out and "pool" in out
+        assert "socket" not in out
+
+    @pytest.mark.parametrize("command", ["worker", "serve"])
+    def test_removed_subcommands_rejected(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+
 
 class TestReport:
     def test_report_renders_full_dossier(self, capsys):

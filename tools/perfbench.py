@@ -69,12 +69,7 @@ from repro.core.policies import (
     table13_policies,
 )
 from repro.sim.config import baseline_config
-from repro.sim.parallel import (
-    _ungrouped_submit,
-    dispatch,
-    pool_stats,
-    shutdown_pool,
-)
+from repro.sim.parallel import _ungrouped_submit, dispatch
 from repro.sim.planner import run_plan
 from repro.sim.simulator import clear_caches
 from repro.sim.resultstore import ResultStore
@@ -121,8 +116,8 @@ def redirect_smoke_outputs(args, parser) -> None:
     user set explicitly are left alone.
     """
     os.makedirs(SMOKE_DIR, exist_ok=True)
-    for attr in ("out", "sweepcache_out", "pool_out", "fusion_out",
-                 "native_out", "cnative_out", "fabric_out", "screen_out"):
+    for attr in ("out", "sweepcache_out", "fusion_out",
+                 "native_out", "cnative_out", "screen_out"):
         default = parser.get_default(attr)
         if getattr(args, attr) == default:
             setattr(args, attr, os.path.join(SMOKE_DIR, default))
@@ -186,11 +181,15 @@ def bench_sweep(workloads, scale: float, repeats: int, workers: int):
     )
 
     def ungrouped_reference():
-        os.environ["REPRO_FASTPATH"] = "0"
+        saved = os.environ.get("REPRO_ENGINE")
+        os.environ["REPRO_ENGINE"] = "reference"
         try:
             return _ungrouped_submit(cells, workers=workers)
         finally:
-            del os.environ["REPRO_FASTPATH"]
+            if saved is None:
+                del os.environ["REPRO_ENGINE"]
+            else:
+                os.environ["REPRO_ENGINE"] = saved
 
     t_ungrouped, ungrouped = best_of(repeats, ungrouped_reference)
     if grouped != ungrouped:
@@ -204,15 +203,14 @@ def bench_sweep(workloads, scale: float, repeats: int, workers: int):
     }
 
 
-def figure_suite_chunks(scale: float):
+def figure_suite_cells(scale: float):
     """Three figure-shaped sweeps with realistic cross-figure overlap.
 
     A slice of the fig5-style curves, the fig13 table, and the fig18
-    penalty sweep, as the three separate dispatches an ``experiments
-    all`` run would issue: the table's latency-10 row and the curves
-    share traces, and the unrestricted/blocking baselines recur
-    everywhere -- the overlap the persistent pool and trace plane
-    exist to exploit.
+    penalty sweep, as one flat cell list: the table's latency-10 row
+    and the curves share traces, and the unrestricted/blocking
+    baselines recur everywhere -- the overlap the planner's dedup and
+    the result store exist to exploit.
     """
     base = baseline_config()
     curves = []
@@ -234,12 +232,7 @@ def figure_suite_chunks(scale: float):
             penalty.append((workload,
                             replace(base, policy=policy, miss_penalty=pen),
                             10, scale))
-    return [curves, table, penalty]
-
-
-def figure_suite_cells(scale: float):
-    """The chunks of :func:`figure_suite_chunks` as one flat cell list."""
-    return [cell for chunk in figure_suite_chunks(scale) for cell in chunk]
+    return curves + table + penalty
 
 
 def bench_sweepcache(scale: float, workers: int, repeats: int):
@@ -288,169 +281,6 @@ def bench_sweepcache(scale: float, workers: int, repeats: int):
         "warm_seconds": t_warm,
         "speedup": t_cold / t_warm,
         "warm_simulations": warm_report.simulated,
-        "bit_identical": True,
-    }
-
-
-def bench_pool(scale: float, workers: int, repeats: int):
-    """Cold multi-sweep wall-clock: persistent pool + trace plane vs
-    fresh pools + per-worker expansion.
-
-    Runs the three figure-shaped sweeps of :func:`figure_suite_chunks`
-    as consecutive dispatches, the way ``experiments all`` issues
-    them.  The new path keeps one warm pool across all three and
-    publishes each trace once into shared memory; the baseline is the
-    pre-PR behaviour -- a fresh ``ProcessPoolExecutor`` per dispatch,
-    every worker re-expanding its group's trace.  Parent caches are
-    cleared and the pool torn down before every pass, so both sides
-    start cold.  Results are asserted bit-identical to each other and
-    to serial ``simulate`` calls.
-    """
-    chunks = figure_suite_chunks(scale)
-
-    def run_multi(reuse: bool, plane: bool):
-        clear_caches()
-        shutdown_pool()
-        try:
-            return [
-                dispatch(chunk, workers=workers, reuse_pool=reuse,
-                          trace_plane=plane)
-                for chunk in chunks
-            ]
-        finally:
-            shutdown_pool()
-
-    t_new, new = best_of(repeats, lambda: run_multi(True, True))
-    t_base, base = best_of(repeats, lambda: run_multi(False, False))
-    if new != base:
-        raise AssertionError("trace-plane sweep diverged from baseline pool")
-    clear_caches()
-    serial = [
-        [simulate(w, c, load_latency=latency, scale=s)
-         for w, c, latency, s in chunk]
-        for chunk in chunks
-    ]
-    if new != serial:
-        raise AssertionError("pooled sweep diverged from serial simulate()")
-    return {
-        "sweeps": len(chunks),
-        "cells": sum(len(chunk) for chunk in chunks),
-        "workers": workers,
-        "persistent_plane_seconds": t_new,
-        "fresh_baseline_seconds": t_base,
-        "speedup": t_base / t_new,
-        "bit_identical": True,
-        "pool": pool_stats(),
-    }
-
-
-def bench_fabric(scale: float, workers: int, repeats: int):
-    """Coordinator overhead: socket fabric vs in-process pool, warm.
-
-    Starts ``workers`` real ``python -m repro worker`` subprocesses on
-    loopback and times the Figure 13 plan through the
-    :class:`~repro.sim.fabric.FabricCoordinator` against the same
-    plan through the in-process pool backend at equal parallelism.
-    Both sides get one untimed warm-up dispatch first (persistent
-    pool workers and fabric workers alike keep compile/trace caches
-    between dispatches), so the measured difference is the fabric's
-    true per-dispatch cost: wire encoding, TCP round trips, and
-    shard bookkeeping.  Results are asserted bit-identical to serial
-    across all three paths.
-    """
-    import subprocess
-    import sys as _sys
-    from pathlib import Path
-
-    from repro.sim.fabric import FabricCoordinator
-    from repro.workloads.spec92 import all_benchmarks
-
-    base = baseline_config()
-    cells = [
-        (workload, base.with_policy(policy), 10, scale)
-        for workload in all_benchmarks()
-        for policy in table13_policies()
-    ]
-
-    clear_caches()
-    serial = [simulate(w, c, load_latency=latency, scale=s)
-              for w, c, latency, s in cells]
-
-    repo_root = Path(__file__).resolve().parent.parent
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(repo_root / "src")
-
-    def start_worker():
-        proc = subprocess.Popen(
-            [_sys.executable, "-m", "repro", "worker", "--port", "0"],
-            stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
-            text=True, env=env, cwd=str(repo_root),
-        )
-        line = proc.stdout.readline()
-        if not line.startswith("listening on "):
-            proc.kill()
-            raise RuntimeError(f"worker failed to start: {line!r}")
-        address = line.split("listening on ", 1)[1].strip()
-        host, _sep, port = address.rpartition(":")
-        return proc, (host, int(port))
-
-    procs = []
-    try:
-        procs = [start_worker() for _ in range(workers)]
-        addresses = [address for _proc, address in procs]
-
-        def fabric_run():
-            return FabricCoordinator(addresses).run(cells)
-
-        def pool_run():
-            return dispatch(cells, backend="pool", workers=workers)
-
-        fabric_warm = fabric_run()  # untimed: warms worker caches
-        pool_warm = pool_run()      # untimed: warms pool worker caches
-        # Interleave the timed repeats, alternating which side goes
-        # first: container CPU speed drifts far more between separate
-        # measurement phases than between back-to-back runs, and a
-        # phase-per-side layout turns that drift straight into fake
-        # overhead (or fake speedup).  Best-of over alternating pairs
-        # samples both sides under the same conditions.
-        t_fabric = t_pool = float("inf")
-        fabric_results = pool_results = None
-        for repeat in range(repeats):
-            sides = [("fabric", fabric_run), ("pool", pool_run)]
-            if repeat % 2:
-                sides.reverse()
-            for side, fn in sides:
-                t0 = time.perf_counter()
-                results = fn()
-                elapsed = time.perf_counter() - t0
-                if side == "fabric":
-                    t_fabric = min(t_fabric, elapsed)
-                    fabric_results = results
-                else:
-                    t_pool = min(t_pool, elapsed)
-                    pool_results = results
-    finally:
-        for proc, _address in procs:
-            if proc.poll() is None:
-                proc.kill()
-            proc.wait(timeout=10)
-        shutdown_pool()
-
-    for label, results in (("fabric warm-up", fabric_warm),
-                           ("fabric", fabric_results),
-                           ("pool warm-up", pool_warm),
-                           ("pool", pool_results)):
-        if results != serial:
-            raise AssertionError(f"{label} sweep diverged from serial")
-
-    overhead = t_fabric / t_pool - 1.0
-    return {
-        "cells": len(cells),
-        "workers": workers,
-        "fabric_seconds": t_fabric,
-        "pool_seconds": t_pool,
-        "overhead_fraction": overhead,
-        "overhead_percent": 100.0 * overhead,
         "bit_identical": True,
     }
 
@@ -1068,55 +898,21 @@ def run_screen_only(args) -> None:
               f"{args.assert_prune:.1f}% floor")
 
 
-def run_fabric_only(args) -> None:
-    """The ``perfbench bench_fabric`` entry: coordinator-overhead gate."""
-    workers = args.fabric_workers
-    fabric = bench_fabric(args.scale, workers, args.repeats)
-    print(f"distributed fabric overhead ({fabric['cells']} cells, "
-          f"{workers} workers, best of {args.repeats}):\n")
-    print(f"  in-process pool   : {fabric['pool_seconds']:.3f} s")
-    print(f"  socket fabric     : {fabric['fabric_seconds']:.3f} s")
-    print(f"  coordinator cost  : {fabric['overhead_percent']:+.1f}%")
-    payload = {
-        "scale": args.scale,
-        "repeats": args.repeats,
-        "smoke": args.smoke,
-        "fabric": fabric,
-        "telemetry": telemetry.snapshot(),
-    }
-    with open(args.fabric_out, "w") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
-    print(f"\nwrote {args.fabric_out}")
-    if args.assert_overhead is not None:
-        if fabric["overhead_percent"] > args.assert_overhead:
-            raise SystemExit(
-                f"fabric coordinator overhead "
-                f"{fabric['overhead_percent']:.1f}% exceeds the "
-                f"{args.assert_overhead:.1f}% ceiling"
-            )
-        print(f"fabric coordinator overhead within the "
-              f"{args.assert_overhead:.1f}% ceiling")
-
-
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("bench", nargs="?", default="all",
                         choices=("all", "bench_native", "bench_cnative",
-                                 "bench_fabric", "bench_screen"),
+                                 "bench_screen"),
                         help="which suite to run: 'all' (default, the five "
                              "historical measurements), 'bench_native' "
                              "(the native replay-lane gate only), "
                              "'bench_cnative' (the compiled-C kernel gate "
-                             "only), 'bench_fabric' (distributed "
-                             "coordinator overhead vs the in-process "
-                             "pool), or 'bench_screen' (analytical "
+                             "only), or 'bench_screen' (analytical "
                              "screening tier vs exhaustive design-space "
                              "sweep); --assert-speedup applies to the "
                              "selected suite, --assert-overhead to "
-                             "telemetry under 'all' and to the "
-                             "coordinator under 'bench_fabric', "
-                             "--assert-prune to 'bench_screen'")
+                             "telemetry under 'all', --assert-prune to "
+                             "'bench_screen'")
     parser.add_argument("--scale", type=float, default=1.0,
                         help="run-length multiplier for the benchmarks")
     parser.add_argument("--repeats", type=int, default=3,
@@ -1125,10 +921,6 @@ def main() -> None:
                         help="pool size for the sweep benchmark")
     parser.add_argument("--out", default="BENCH_engine.json")
     parser.add_argument("--sweepcache-out", default="BENCH_sweepcache.json")
-    parser.add_argument("--pool-out", default="BENCH_pool.json")
-    parser.add_argument("--pool-workers", type=int, default=None,
-                        help="pool size for the trace-plane benchmark "
-                             "(default: max(4, --workers))")
     parser.add_argument("--smoke", action="store_true",
                         help="tiny everything (CI wiring check, not a "
                              "meaningful measurement)")
@@ -1138,15 +930,11 @@ def main() -> None:
     parser.add_argument("--fusion-out", default="BENCH_fusion.json")
     parser.add_argument("--native-out", default="BENCH_native.json")
     parser.add_argument("--cnative-out", default="BENCH_cnative.json")
-    parser.add_argument("--fabric-out", default="BENCH_fabric.json")
     parser.add_argument("--screen-out", default="BENCH_screen.json")
     parser.add_argument("--assert-prune", type=float, default=None,
                         metavar="PCT",
                         help="bench_screen: fail if the screened sweep "
                              "prunes fewer than PCT percent of cells")
-    parser.add_argument("--fabric-workers", type=int, default=2,
-                        help="worker processes for bench_fabric "
-                             "(default 2, matching the CI smoke)")
     parser.add_argument("--assert-speedup", type=float, default=None,
                         metavar="X",
                         help="fail if the gated sweep speedup falls below X "
@@ -1167,13 +955,6 @@ def main() -> None:
         if args.smoke:
             args.repeats = max(args.repeats, 2)
         run_cnative_only(args)
-        return
-
-    if args.bench == "bench_fabric":
-        if args.smoke:
-            args.scale = min(args.scale, 0.05)
-            args.repeats = max(args.repeats, 2)
-        run_fabric_only(args)
         return
 
     if args.bench == "bench_screen":
@@ -1228,16 +1009,6 @@ def main() -> None:
     print(f"  warm (pure cache read): {sweepcache['warm_seconds']:.3f} s")
     print(f"  speedup               : {sweepcache['speedup']:.1f}x")
 
-    pool_workers = args.pool_workers or max(4, workers or 0)
-    pool = bench_pool(args.scale, pool_workers, args.repeats)
-    print(f"\ncold multi-sweep ({pool['sweeps']} sweeps, "
-          f"{pool['cells']} cells), {pool['workers']} workers:")
-    print(f"  persistent pool + trace plane : "
-          f"{pool['persistent_plane_seconds']:.3f} s")
-    print(f"  fresh pools + local expansion : "
-          f"{pool['fresh_baseline_seconds']:.3f} s")
-    print(f"  speedup                       : {pool['speedup']:.2f}x")
-
     fusion = bench_fusion(args.scale, args.repeats, args.smoke)
     print(f"\ncold multi-policy sweep ({fusion['benchmarks']} benchmarks x "
           f"{fusion['policies']} policies, serial):")
@@ -1281,18 +1052,6 @@ def main() -> None:
         json.dump(cache_payload, fh, indent=2)
         fh.write("\n")
     print(f"wrote {args.sweepcache_out}")
-
-    pool_payload = {
-        "scale": args.scale,
-        "repeats": args.repeats,
-        "smoke": args.smoke,
-        "pool": pool,
-        "telemetry": snapshot,
-    }
-    with open(args.pool_out, "w") as fh:
-        json.dump(pool_payload, fh, indent=2)
-        fh.write("\n")
-    print(f"wrote {args.pool_out}")
 
     fusion_payload = {
         "scale": args.scale,
